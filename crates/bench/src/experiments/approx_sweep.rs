@@ -17,8 +17,7 @@
 //! completion latency, output fidelity inside the outage window against
 //! that strategy's own failure-free golden run, the engine-recorded
 //! fidelity floor, and the approximate backup cadence (shipped vs
-//! skipped), showing the divergence-driven backup rate the planner cost
-//! model (`ppa_core::BackupCadence`) prices.
+//! skipped), showing the divergence-driven backup rate the bound buys.
 
 use super::{completion_latency, drive_scenario_config, schedule, Strategy};
 use crate::runner::RunCtx;

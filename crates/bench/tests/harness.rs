@@ -45,6 +45,35 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
             }
         }
     }
+    // Every rendered table is well-formed GFM: the header, the delimiter
+    // and each body row carry the same number of cells.
+    let markdown = render_markdown(&summary);
+    fn cells(row: &str) -> Vec<&str> {
+        row.strip_prefix('|')
+            .and_then(|r| r.strip_suffix('|'))
+            .map(|r| r.split('|').map(str::trim).collect())
+            .unwrap_or_else(|| panic!("table row not fenced by pipes: {row}"))
+    }
+    let lines: Vec<&str> = markdown.lines().collect();
+    let mut tables = 0;
+    for table in lines
+        .split(|line| !line.starts_with('|'))
+        .filter(|t| !t.is_empty())
+    {
+        tables += 1;
+        assert!(table.len() >= 2, "table without delimiter: {table:?}");
+        let header = cells(table[0]).len();
+        assert!(
+            cells(table[1]).iter().all(|c| c.starts_with("---")),
+            "second row is not a delimiter: {}",
+            table[1]
+        );
+        for row in table {
+            assert_eq!(cells(row).len(), header, "ragged row: {row}");
+        }
+    }
+    assert!(tables > 0, "the quick summary rendered no tables");
+
     // The recovery experiments must also have logged their runs.
     for id in [
         "fig07",

@@ -36,7 +36,6 @@
 //! assert!((0.0..=1.0).contains(&of));
 //! ```
 
-pub mod backup;
 pub mod error;
 pub mod fidelity;
 pub mod mctree;
@@ -45,7 +44,6 @@ pub mod planner;
 pub mod random;
 pub mod rates;
 
-pub use backup::BackupCadence;
 pub use error::{CoreError, Result};
 pub use fidelity::FidelityModel;
 pub use mctree::{enumerate_mc_trees, enumerate_mc_trees_with, McTreeLimits};

@@ -36,9 +36,6 @@ pub enum FtMode {
     /// snapshot *without* replaying the gap — faster, at a quantified
     /// fidelity cost recorded per outage (see [`crate::DivergenceModel`]).
     Approximate {
-        /// Tasks additionally covered by active replicas (usually empty —
-        /// the pure approximate family has none).
-        plan: TaskSet,
         /// Tolerated state drift, in input tuples absorbed since the last
         /// shipped backup. Must be ≥ 1: a bound of 0 *is* the exact
         /// checkpoint protocol, which [`FtMode::approximate`] normalizes
@@ -82,10 +79,7 @@ impl FtMode {
         if error_bound == 0 {
             FtMode::checkpoint(n_tasks, interval)
         } else {
-            FtMode::Approximate {
-                plan: TaskSet::empty(n_tasks),
-                error_bound,
-            }
+            FtMode::Approximate { error_bound }
         }
     }
 }
@@ -252,11 +246,9 @@ mod tests {
         };
         assert!(plan.is_empty());
         assert_eq!(checkpoint_interval, Some(interval));
-        let FtMode::Approximate { plan, error_bound } = FtMode::approximate(5, interval, 200)
-        else {
+        let FtMode::Approximate { error_bound } = FtMode::approximate(5, interval, 200) else {
             return Err("a positive bound must select the approximate family".into());
         };
-        assert!(plan.is_empty());
         assert_eq!(error_bound, 200);
         Ok(())
     }

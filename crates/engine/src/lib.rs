@@ -36,7 +36,6 @@ pub mod chaos;
 pub mod config;
 pub mod control;
 pub mod error;
-pub mod estimate;
 pub mod feed;
 pub mod placement;
 pub mod query;
@@ -53,10 +52,6 @@ pub use control::{
     DriveReport, HealthView, StaticPolicy,
 };
 pub use error::EngineError;
-pub use estimate::{
-    active_takeover, approximate_recovery, checkpoint_recovery, max_recoverable_rate, storm_replay,
-    TaskProfile,
-};
 pub use feed::FaultFeed;
 pub use placement::{
     move_counts, plan_evacuation, Cluster, DomainSpread, MoveRole, Packed, Placement,

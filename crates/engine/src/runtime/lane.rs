@@ -17,8 +17,9 @@
 //! internal invariants degrade to `debug_assert!` + a safe early return
 //! instead of unwinding across the executor.
 
+use super::ft::{Backup, Recovery};
 use super::{Event, Msg, Rt, Status, TaskRt};
-use crate::config::{EngineConfig, FtMode};
+use crate::config::EngineConfig;
 use crate::report::SinkBatch;
 use crate::tuple::{route, Tuple};
 use crate::udf::{BatchCtx, InputBatch};
@@ -33,7 +34,8 @@ pub(super) struct LaneCtx<'a> {
     pub graph: &'a TaskGraph,
     pub config: &'a EngineConfig,
     pub replica_slot: &'a [Option<Rt>],
-    pub storm_buffer_batches: Option<u64>,
+    pub backup: Backup,
+    pub recovery: Recovery,
     /// The span's instant (== the scheduler clock while it executes).
     pub now: SimTime,
 }
@@ -508,12 +510,12 @@ fn process_batch(
         }
     }
 
-    // Approximate mode: every absorbed input tuple is one unit of state
+    // Divergence cadence: every absorbed input tuple is one unit of state
     // drift. The first batch that pushes the drift across the error
     // bound arms a backup ship at this batch's CPU finish; replicas and
     // catch-up replay never ship (a replica's primary owns the drift,
     // and catch-up reprocesses tuples already counted).
-    if let FtMode::Approximate { error_bound, .. } = cx.config.mode {
+    if let Backup::Divergence(error_bound) = cx.backup {
         if !task.is_replica && !catching_up && task.divergence.absorb(total_in as u64, error_bound)
         {
             fx.scheduled
@@ -551,8 +553,8 @@ fn process_batch(
 /// recovering task's oldest needed batch is still forwardable by hops
 /// whose cursors run slightly ahead) in output buffers.
 fn trim_storm_buffer(cx: &LaneCtx<'_>, task: &mut TaskRt) {
-    if let Some(w) = cx.storm_buffer_batches {
-        let min_keep = task.next_batch.saturating_sub(w + 5);
+    if let Recovery::SourceReplay { window_batches } = cx.recovery {
+        let min_keep = task.next_batch.saturating_sub(window_batches + 5);
         for q in &mut task.out_buffer {
             while let Some((b, _, _)) = q.front() {
                 if *b < min_keep {

@@ -1,6 +1,7 @@
 //! The simulated cluster runtime: batch dataflow, failure injection,
-//! detection and the three recovery paths (active replica takeover,
-//! checkpoint restore + replay, Storm-style source replay).
+//! detection and recovery — active replica takeover, or one restore
+//! routine whose tail the lowered fault-tolerance mode picks (exact
+//! replay, lossy frontier jump, Storm-style source replay; see `ft`).
 //!
 //! One [`Simulation`] owns the whole cluster state and is driven by a
 //! deterministic event loop (`ppa_sim::Scheduler`). Runtime slots `0..n`
@@ -25,7 +26,7 @@
 #![allow(clippy::type_complexity)]
 
 use crate::chaos::{ChaosError, ChaosKind, ChaosSpec};
-use crate::config::{EngineConfig, FtMode};
+use crate::config::EngineConfig;
 use crate::control::{
     ActionOutcome, ActionRecord, ControlAction, ControlPolicy, DomainHealth, DriveReport,
     HealthView, StaticPolicy,
@@ -49,8 +50,11 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+mod ft;
 mod lane;
 mod shard;
+
+use ft::{Backup, Recovery};
 
 /// Spans smaller than this run inline on the simulation thread even when
 /// `shards > 1`: below it, thread hand-off costs more than the work.
@@ -290,10 +294,6 @@ pub struct Simulation {
     /// Tuples scheduled for delivery so far (replica copies included) —
     /// the denominator of the bench harness's tuples/sec figures.
     tuples_moved: u64,
-    /// Portions of `events` / `tuples_moved` already flushed into the
-    /// metrics registry (a repeated `drive` must not double-count).
-    events_metered: u64,
-    tuples_metered: u64,
     /// Fresh-UDF factories for Storm restarts, one per logical task.
     fresh_udf: Vec<Option<Box<dyn Fn() -> Box<dyn Udf>>>>,
     /// Spare source generators, one per source task — consumed when the
@@ -301,9 +301,10 @@ pub struct Simulation {
     /// deterministic functions of the batch id, so a spare instance
     /// produces the identical stream).
     spare_sources: Vec<Option<Box<dyn SourceGen>>>,
-    /// Storm-mode source buffer length in batches.
-    storm_buffer_batches: Option<u64>,
-    checkpoint_interval: Option<SimDuration>,
+    /// `config.mode` lowered once: when tasks ship state backups ...
+    backup: Backup,
+    /// ... and what a restored task does once its state is loaded.
+    recovery: Recovery,
     /// Per-fault-domain time-decayed failure scores (when the placement
     /// carries a node → domain mapping) — the raw material of the
     /// control plane's [`HealthView`].
@@ -339,14 +340,6 @@ pub struct Simulation {
     /// `ChaosKind::RestoreStall`), consumed by the task's next restore
     /// completion.
     restore_stall: Vec<Option<SimDuration>>,
-    /// `FtMode::Approximate`'s error bound; `None` under every exact
-    /// mode. Doubles as the gate on approximate-only metric flushes so
-    /// exact runs stay byte-identical.
-    approx_bound: Option<u64>,
-    /// Portion of the tasks' skipped-backup counts already flushed into
-    /// the metrics registry (same repeated-`drive` contract as
-    /// `events_metered`).
-    approx_skipped_metered: u64,
 }
 
 impl Simulation {
@@ -396,23 +389,7 @@ impl Simulation {
             })
             .collect();
 
-        let (plan, checkpoint_interval) = match &config.mode {
-            FtMode::Ppa {
-                plan,
-                checkpoint_interval,
-            } => (Some(plan.clone()), *checkpoint_interval),
-            // Approximate ships backups on divergence, never on a timer.
-            FtMode::Approximate { plan, .. } => (Some(plan.clone()), None),
-            _ => (None, None),
-        };
-        let approx_bound = match &config.mode {
-            FtMode::Approximate { error_bound, .. } => Some(*error_bound),
-            _ => None,
-        };
-        let storm_buffer_batches = match &config.mode {
-            FtMode::SourceReplay { buffer } => Some(config.batches_in(*buffer).max(1)),
-            _ => None,
-        };
+        let (active_plan, backup, recovery) = ft::lower(&config, n);
 
         let mk_task = |t: usize, is_replica: bool, node: NodeId| -> TaskRt {
             let logical = TaskIndex(t);
@@ -452,12 +429,10 @@ impl Simulation {
             .map(|t| mk_task(t, false, placement.primary[t]))
             .collect();
         let mut replica_slot = vec![None; n];
-        if let Some(plan) = &plan {
-            for t in plan.iter() {
-                let slot = tasks.len();
-                tasks.push(mk_task(t.0, true, placement.standby[t.0]));
-                replica_slot[t.0] = Some(slot);
-            }
+        for t in active_plan.iter() {
+            let slot = tasks.len();
+            tasks.push(mk_task(t.0, true, placement.standby[t.0]));
+            replica_slot[t.0] = Some(slot);
         }
 
         let fresh_udf: Vec<Option<Box<dyn Fn() -> Box<dyn Udf>>>> = (0..n)
@@ -493,7 +468,6 @@ impl Simulation {
         let domain_health = placement
             .fault_domains()
             .map(|tree| DomainHealth::new(tree.n_domains(), config.health_half_life));
-        let active_plan = plan.clone().unwrap_or_else(|| TaskSet::empty(n));
 
         let mut sim = Simulation {
             // The steady state keeps roughly one pending event per task
@@ -510,16 +484,14 @@ impl Simulation {
             sink: Vec::new(),
             events: 0,
             tuples_moved: 0,
-            events_metered: 0,
-            tuples_metered: 0,
             tasks,
             replica_slot,
             graph,
             placement,
             fresh_udf,
             spare_sources,
-            storm_buffer_batches,
-            checkpoint_interval,
+            backup,
+            recovery,
             domain_health,
             active_plan,
             replica_sync_running: false,
@@ -531,8 +503,6 @@ impl Simulation {
             heartbeat_drops: 0,
             heartbeat_delay: None,
             restore_stall: vec![None; n],
-            approx_bound,
-            approx_skipped_metered: 0,
             config,
         };
         sim.bootstrap();
@@ -563,7 +533,7 @@ impl Simulation {
         }
         // Checkpoints, staggered per task so correlated recovery sees
         // asynchronous checkpoint ages (§V-B's synchronization effect).
-        if let Some(interval) = self.checkpoint_interval {
+        if let Backup::Interval(interval) = self.backup {
             for t in 0..self.graph.n_tasks() {
                 let offset = SimDuration::from_micros(
                     (t as u64).wrapping_mul(2_654_435_761) % interval.as_micros().max(1),
@@ -860,27 +830,16 @@ impl Simulation {
                 _ => break,
             }
         }
-        // Flush throughput counters into the metrics registry as deltas,
-        // so a repeated drive over the same simulation never double-adds.
-        self.metrics
-            .add("engine.events.processed", self.events - self.events_metered);
-        self.events_metered = self.events;
-        self.metrics.add(
-            "engine.tuples.moved",
-            self.tuples_moved - self.tuples_metered,
-        );
-        self.tuples_metered = self.tuples_moved;
-        // Approximate-only: flush the tasks' skipped-backup tallies. Gated
-        // on the mode so exact runs never grow a zero-valued extra metric
-        // (their DriveReports must stay byte-identical to pre-approximate
-        // builds).
-        if self.approx_bound.is_some() {
-            let skipped: u64 = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
-            self.metrics.add(
-                "engine.approx.backups_skipped",
-                skipped - self.approx_skipped_metered,
-            );
-            self.approx_skipped_metered = skipped;
+        // Flush the run's running totals into the metrics registry as
+        // deltas against what it already holds, so a repeated drive over
+        // the same simulation never double-adds. Skipped backups exist
+        // only under divergence cadence: exact runs never grow a
+        // zero-valued extra metric.
+        self.flush_counter("engine.events.processed", self.events);
+        self.flush_counter("engine.tuples.moved", self.tuples_moved);
+        if let Backup::Divergence(_) = self.backup {
+            let skipped = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
+            self.flush_counter("engine.approx.backups_skipped", skipped);
         }
         Ok(DriveReport {
             report: self.report_at(until),
@@ -889,6 +848,12 @@ impl Simulation {
             metrics: self.metrics.snapshot(),
             trace,
         })
+    }
+
+    /// Raises counter `name` to the running total `value`.
+    fn flush_counter(&mut self, name: &'static str, value: u64) {
+        let delta = value - self.metrics.counter(name);
+        self.metrics.add(name, delta);
     }
 
     /// The cluster's health as a policy sees it at `at`: the placement's
@@ -1156,10 +1121,7 @@ impl Simulation {
         at: SimTime,
         control_cpu: &mut SimDuration,
     ) -> ActionOutcome {
-        if !matches!(
-            self.config.mode,
-            FtMode::Ppa { .. } | FtMode::Approximate { .. }
-        ) {
+        if !self.recovery.is_ppa() {
             return ActionOutcome::NoEffect {
                 action: "replan",
                 reason: "replication plans only exist under FtMode::Ppa",
@@ -1438,17 +1400,7 @@ impl Simulation {
             // replica's cursor so it can catch up (downstream primaries
             // deduplicate the copies they also receive).
             let at = finish + self.config.costs.network_latency;
-            let upstreams: Vec<TaskIndex> =
-                self.tasks[slot].sub_from.iter().map(|&(_, u)| u).collect();
-            for u in upstreams {
-                let sender = self.active_slot(u.0);
-                if matches!(
-                    self.tasks[sender].status,
-                    Status::Running | Status::CatchingUp
-                ) {
-                    self.resend_buffered(sender, logical, next_batch, at);
-                }
-            }
+            self.replay_from_upstreams(slot, next_batch, at);
         }
 
         // Keep the replica-sync trims flowing.
@@ -1526,7 +1478,8 @@ impl Simulation {
             graph: &self.graph,
             config: &self.config,
             replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
+            backup: self.backup,
+            recovery: self.recovery,
             now: self.sched.now(),
         }
     }
@@ -1541,7 +1494,8 @@ impl Simulation {
             graph: &self.graph,
             config: &self.config,
             replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
+            backup: self.backup,
+            recovery: self.recovery,
             now: self.sched.now(),
         };
         lane::handle(
@@ -1670,7 +1624,8 @@ impl Simulation {
             graph: &self.graph,
             config: &self.config,
             replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
+            backup: self.backup,
+            recovery: self.recovery,
             now: at,
         };
         let results = shard::run_lanes(self.config.shards, jobs, |mut job: shard::LaneJob| {
@@ -1779,11 +1734,6 @@ impl Simulation {
         );
     }
 
-    /// Logical tasks with a path to `t` (the replay cone), excluding `t`.
-    fn upstream_cone(&self, t: TaskIndex) -> Vec<bool> {
-        lane::upstream_cone(&self.graph, t)
-    }
-
     /// Processes as many consecutive ready batches as possible.
     fn try_process(&mut self, rt: Rt) {
         self.run_lane(rt, lane::LaneEvent::TryProcess);
@@ -1794,7 +1744,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_checkpoint(&mut self, rt: Rt) {
-        if let Some(interval) = self.checkpoint_interval {
+        if let Backup::Interval(interval) = self.backup {
             self.sched.after(interval, Event::Checkpoint { rt });
         }
         if self.tasks[rt].status != Status::Running {
@@ -1838,9 +1788,10 @@ impl Simulation {
                 .checkpoint
                 .as_ref()
                 .map_or(0, |cp| cp.state_tuples);
-            let interval_batches = self
-                .checkpoint_interval
-                .map_or(1, |i| self.config.batches_in(i).max(1));
+            let interval_batches = match self.backup {
+                Backup::Interval(i) => self.config.batches_in(i).max(1),
+                _ => 1,
+            };
             // Mean per-batch inflow from the task's own throughput counter.
             let batches = self.tasks[rt].next_batch.max(1);
             let per_batch = self.tasks[rt].throughput.tuples_in / batches;
@@ -2077,80 +2028,54 @@ impl Simulation {
     }
 
     fn start_recovery(&mut self, t: usize) {
-        match &self.config.mode {
-            FtMode::None => { /* stays dead */ }
-            // Approximate recovers through the same machinery: replica
-            // takeover when a live replica exists (lossless), else a
-            // restore of the last shipped snapshot on the standby —
-            // identical load cost; the completion path diverges in
-            // `on_restore_done` (no replay, lossy jump to the frontier).
-            FtMode::Ppa { .. } | FtMode::Approximate { .. } => {
-                // Replica takeover if a live replica exists.
-                if let Some(slot) = self.replica_slot[t] {
-                    if self.tasks[slot].status == Status::Running {
-                        let buffered = self.tasks[slot].buffered_tuples();
-                        let work = self.config.costs.resend_per_tuple * buffered as u64
-                            + self.config.costs.batch_overhead;
-                        let node = self.tasks[slot].node;
-                        let finish = self.reserve(node, work);
-                        if let Some(rec) = self.current_outage_mut(t) {
-                            rec.via_replica = true;
-                        }
-                        self.lifecycle[t] = Lifecycle::Replaying;
-                        self.sched.at(finish, Event::TakeoverDone { logical: t });
-                        return;
-                    }
-                }
-                // Checkpoint restore on the standby node.
-                if !self.config.passive_recovery {
-                    return; // held down for steady-state tentative sampling
-                }
-                let Some(standby) = self.recovery_node(t) else {
-                    return; // nowhere alive to restore — the outage stays open
-                };
-                let state = self.tasks[t]
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, |cp| cp.state_tuples);
-                let work = self.config.costs.state_load_per_tuple * state as u64
+        if self.recovery == Recovery::None {
+            return; // stays dead
+        }
+        // Replica takeover if a live replica exists.
+        if let Some(slot) = self.replica_slot[t] {
+            if self.tasks[slot].status == Status::Running {
+                let buffered = self.tasks[slot].buffered_tuples();
+                let work = self.config.costs.resend_per_tuple * buffered as u64
                     + self.config.costs.batch_overhead;
-                self.tasks[t].status = Status::Restoring;
-                self.tasks[t].node = standby;
-                self.lifecycle[t] = Lifecycle::Replaying;
-                let finish = self.reserve(standby, work);
-                self.sched.at(finish, Event::RestoreDone { rt: t });
-                let now = self.sched.now();
-                self.note(
-                    now,
-                    EngineEvent::RestoreStarted {
-                        task: t,
-                        node: standby,
-                    },
-                );
-            }
-            FtMode::SourceReplay { .. } => {
-                if !self.config.passive_recovery {
-                    return;
+                let node = self.tasks[slot].node;
+                let finish = self.reserve(node, work);
+                if let Some(rec) = self.current_outage_mut(t) {
+                    rec.via_replica = true;
                 }
-                let Some(standby) = self.recovery_node(t) else {
-                    return; // nowhere alive to restart — the outage stays open
-                };
-                self.tasks[t].status = Status::Restoring;
-                self.tasks[t].node = standby;
                 self.lifecycle[t] = Lifecycle::Replaying;
-                let work = self.config.costs.batch_overhead;
-                let finish = self.reserve(standby, work);
-                self.sched.at(finish, Event::RestoreDone { rt: t });
-                let now = self.sched.now();
-                self.note(
-                    now,
-                    EngineEvent::RestoreStarted {
-                        task: t,
-                        node: standby,
-                    },
-                );
+                self.sched.at(finish, Event::TakeoverDone { logical: t });
+                return;
             }
         }
+        // Passive restore on the standby node: load the last snapshot
+        // (a task with none — never backed up, or Storm, which keeps
+        // none — pays only the batch overhead); `restore` runs the
+        // recovery tail once the load completes.
+        if !self.config.passive_recovery {
+            return; // held down for steady-state tentative sampling
+        }
+        let Some(standby) = self.recovery_node(t) else {
+            return; // nowhere alive to restore — the outage stays open
+        };
+        let state = self.tasks[t]
+            .checkpoint
+            .as_ref()
+            .map_or(0, |cp| cp.state_tuples);
+        let work = self.config.costs.state_load_per_tuple * state as u64
+            + self.config.costs.batch_overhead;
+        self.tasks[t].status = Status::Restoring;
+        self.tasks[t].node = standby;
+        self.lifecycle[t] = Lifecycle::Replaying;
+        let finish = self.reserve(standby, work);
+        self.sched.at(finish, Event::RestoreDone { rt: t });
+        let now = self.sched.now();
+        self.note(
+            now,
+            EngineEvent::RestoreStarted {
+                task: t,
+                node: standby,
+            },
+        );
     }
 
     /// The node a passive recovery restores task `t` onto: its configured
@@ -2189,21 +2114,29 @@ impl Simulation {
             self.note(now, EngineEvent::RestoreVoided { task: logical });
             return;
         }
-        match &self.config.mode {
-            FtMode::Ppa { .. } => self.restore_from_checkpoint(rt),
-            FtMode::Approximate { .. } => self.restore_approximate(rt),
-            FtMode::SourceReplay { .. } => self.restore_storm(rt),
-            FtMode::None => {}
-        }
+        self.restore(rt);
     }
 
-    fn restore_from_checkpoint(&mut self, rt: Rt) {
+    /// The single restore routine, run once a restore's state load
+    /// completes. A shared prefix rewinds the task — to its last
+    /// snapshot, else to an empty UDF at the start of the Storm replay
+    /// window (batch 0 without one) — and recovers a source outright by
+    /// regenerating its missed batches (deterministic per batch id, so
+    /// exact under every mode). A non-source task then runs the tail its
+    /// [`Recovery`] names.
+    fn restore(&mut self, rt: Rt) {
         let now = self.sched.now();
-        let is_source = self.tasks[rt].source.is_some();
-        {
+        let logical = self.tasks[rt].logical;
+        let drift = {
             let task = &mut self.tasks[rt];
-            match task.checkpoint.clone_parts() {
-                Some((batch, udf, out_buffer, closed)) => {
+            match task.checkpoint.clone() {
+                Some(Checkpoint {
+                    batch,
+                    udf,
+                    out_buffer,
+                    closed,
+                    ..
+                }) => {
                     task.next_batch = batch;
                     if let Some(u) = udf {
                         task.udf = Some(u);
@@ -2212,15 +2145,21 @@ impl Simulation {
                     task.closed = closed;
                 }
                 None => {
-                    // Never checkpointed: restart from scratch.
-                    task.next_batch = 0;
+                    let start = match self.recovery {
+                        Recovery::SourceReplay { window_batches } => task
+                            .pre_failure_progress
+                            .unwrap_or(0)
+                            .saturating_sub(window_batches),
+                        _ => 0,
+                    };
+                    task.next_batch = start;
                     for q in &mut task.out_buffer {
                         q.clear();
                     }
                     for c in &mut task.closed {
-                        *c = 0;
+                        *c = start;
                     }
-                    if let Some(f) = &self.fresh_udf[task.logical.0] {
+                    if let Some(f) = &self.fresh_udf[logical.0] {
                         task.udf = Some(f());
                     }
                 }
@@ -2229,251 +2168,147 @@ impl Simulation {
                 s.clear();
             }
             task.status = Status::CatchingUp;
-        }
+            // Live state equals the snapshot again. The drift only ever
+            // accumulates under divergence cadence.
+            let drift = task.divergence.pending();
+            task.divergence.reset();
+            drift
+        };
 
-        if is_source {
-            // Regenerate every missed batch (deterministic per batch id),
-            // then the task is caught up.
+        if self.tasks[rt].source.is_some() {
             let current = self.current_batch();
             let from = self.tasks[rt].next_batch;
             for b in from..current {
                 self.generate_source_batch(rt, b, true);
             }
             self.tasks[rt].status = Status::Running;
-            let logical = self.tasks[rt].logical;
             let at = self.node_busy[self.tasks[rt].node].max(now);
             self.mark_recovered(logical.0, at);
             return;
         }
 
-        // Re-serve downstream from the restored output buffer.
-        self.flush_out_buffer(rt, now + self.config.costs.network_latency);
+        let deliver_at = now + self.config.costs.network_latency;
+        match self.recovery {
+            Recovery::ExactReplay => {
+                // Re-serve downstream from the restored output buffer,
+                // and have live upstreams replay everything at or past
+                // the restore cursor; dead upstreams re-serve on their
+                // own restore.
+                let cursor = self.tasks[rt].next_batch;
+                self.flush_out_buffer(rt, deliver_at);
+                self.replay_from_upstreams(rt, cursor, deliver_at);
+                self.try_process(rt);
+            }
+            Recovery::LossyJump => {
+                // Jump straight to the stream frontier *without*
+                // replaying the gap: the batches between the snapshot and
+                // the frontier are forfeited and closed so `ready` never
+                // waits on them.
+                let frontier = self.current_batch();
+                let skipped = frontier.saturating_sub(self.tasks[rt].next_batch);
+                {
+                    let task = &mut self.tasks[rt];
+                    task.next_batch = task.next_batch.max(frontier);
+                    for c in &mut task.closed {
+                        *c = (*c).max(frontier);
+                    }
+                    task.status = Status::Running;
+                }
+                // Re-serve what the snapshot still covers (dedup makes
+                // this idempotent), close the forfeited gap downstream
+                // with one cumulative proxy per out-edge, and have live
+                // upstreams re-serve from the frontier on.
+                self.flush_out_buffer(rt, deliver_at);
+                if frontier > 0 {
+                    self.proxy_downstream(rt, frontier - 1, deliver_at);
+                }
+                self.replay_from_upstreams(rt, frontier, deliver_at);
 
-        // Ask live upstream incarnations to replay everything at or past our
-        // restore cursor; dead upstreams will re-serve on their own restore.
+                // Quantify the loss: of the batch intervals the outage
+                // spans, the forfeited gap is the part whose exact output
+                // is gone for good. Conservative floor in permille — the
+                // realized fidelity can only be higher.
+                let failed_batch = self
+                    .current_outage(logical.0)
+                    .map_or(0, |rec| rec.failed_at.as_micros())
+                    / self.config.batch_interval.as_micros();
+                let total = frontier.saturating_sub(failed_batch).max(1);
+                let forfeited = skipped.min(total);
+                let floor = (1000 * (total - forfeited) / total) as u16;
+                if let Some(rec) = self.current_outage_mut(logical.0) {
+                    rec.fidelity_floor = Some(floor);
+                }
+                self.note(
+                    now,
+                    EngineEvent::ApproxRecovery {
+                        task: logical.0,
+                        divergence: drift,
+                        skipped_batches: skipped,
+                        fidelity_floor: floor,
+                    },
+                );
+                // `now` is the restore's own CPU-reserved completion
+                // instant, and the jump is pure bookkeeping: progress
+                // dominates here, not after whatever other restores are
+                // queued on this standby.
+                self.mark_recovered(logical.0, now);
+                self.try_process(rt);
+            }
+            Recovery::SourceReplay { .. } => {
+                // Sources replay their buffered window through the
+                // topology toward this task; hops forward it with
+                // reprocessing charges.
+                let cone = lane::upstream_cone(&self.graph, logical);
+                let cursor = self.tasks[rt].next_batch;
+                for s in 0..self.graph.n_tasks() {
+                    if !cone[s]
+                        || self.tasks[s].source.is_none()
+                        || matches!(self.tasks[s].status, Status::Dead | Status::Restoring)
+                    {
+                        continue;
+                    }
+                    self.resend_buffered_replay(s, logical, cursor, deliver_at, &cone);
+                }
+            }
+            // `start_recovery` never schedules a restore without a
+            // recovery family.
+            Recovery::None => {}
+        }
+    }
+
+    /// Asks the live upstream incarnations of slot `rt` to re-serve
+    /// everything at or past `cursor` to it, arriving at `at`.
+    fn replay_from_upstreams(&mut self, rt: Rt, cursor: u64, at: SimTime) {
         let logical = self.tasks[rt].logical;
-        let cursor = self.tasks[rt].next_batch;
         let upstreams: Vec<TaskIndex> = self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect();
         for u in upstreams {
             let sender = self.active_slot(u.0);
-            if self.tasks[sender].status == Status::Running
-                || self.tasks[sender].status == Status::CatchingUp
-            {
-                self.resend_buffered(
-                    sender,
-                    logical,
-                    cursor,
-                    now + self.config.costs.network_latency,
-                );
+            if matches!(
+                self.tasks[sender].status,
+                Status::Running | Status::CatchingUp
+            ) {
+                self.resend_buffered(sender, logical, cursor, at);
             }
         }
-        self.try_process(rt);
     }
 
-    /// Approximate mode's lossy restore: load the last shipped snapshot
-    /// (already billed when `RestoreDone` was scheduled), then jump
-    /// straight to the stream frontier *without* replaying the gap. The
-    /// batches between the snapshot and the frontier are forfeited; one
-    /// cumulative proxy per out-edge closes them downstream so healthy
-    /// consumers never stall waiting for output that will never come.
-    /// The forfeited fidelity is quantified into the outage record's
-    /// `fidelity_floor` and an `ApproxRecovery` event before the
-    /// `RestoreDone` that closes the outage.
-    fn restore_approximate(&mut self, rt: Rt) {
-        let now = self.sched.now();
-        let is_source = self.tasks[rt].source.is_some();
-        {
-            let task = &mut self.tasks[rt];
-            match task.checkpoint.clone_parts() {
-                Some((batch, udf, out_buffer, closed)) => {
-                    task.next_batch = batch;
-                    if let Some(u) = udf {
-                        task.udf = Some(u);
-                    }
-                    task.out_buffer = out_buffer;
-                    task.closed = closed;
-                }
-                None => {
-                    // Never shipped: restart from scratch (the whole
-                    // prefix is the forfeited gap).
-                    task.next_batch = 0;
-                    for q in &mut task.out_buffer {
-                        q.clear();
-                    }
-                    for c in &mut task.closed {
-                        *c = 0;
-                    }
-                    if let Some(f) = &self.fresh_udf[task.logical.0] {
-                        task.udf = Some(f());
-                    }
-                }
-            }
-            for s in &mut task.staged {
-                s.clear();
-            }
-            task.status = Status::CatchingUp;
-        }
-
-        if is_source {
-            // Sources are deterministic per batch id: regeneration *is*
-            // exact, so they recover precisely like the exact path and
-            // forfeit nothing.
-            let current = self.current_batch();
-            let from = self.tasks[rt].next_batch;
-            for b in from..current {
-                self.generate_source_batch(rt, b, true);
-            }
-            self.tasks[rt].status = Status::Running;
-            self.tasks[rt].divergence.reset();
-            let logical = self.tasks[rt].logical;
-            let at = self.node_busy[self.tasks[rt].node].max(now);
-            self.mark_recovered(logical.0, at);
-            return;
-        }
-
-        let logical = self.tasks[rt].logical;
-        let frontier = self.current_batch();
-        let snapshot_batch = self.tasks[rt].next_batch;
-        let skipped = frontier.saturating_sub(snapshot_batch);
-        {
-            let task = &mut self.tasks[rt];
-            task.next_batch = task.next_batch.max(frontier);
-            // The forfeited gap will never arrive from upstream either:
-            // close it so `ready` never waits on it.
-            for c in &mut task.closed {
-                *c = (*c).max(frontier);
-            }
-            task.status = Status::Running;
-        }
-        let divergence = self.tasks[rt].divergence.pending();
-        self.tasks[rt].divergence.reset();
-
-        // Re-serve downstream from the restored output buffer (batches the
-        // snapshot still covers; dedup makes this idempotent), and close
-        // the forfeited gap with one cumulative proxy per out-edge —
-        // `Msg::Proxy` at batch `frontier - 1` unblocks consumers through
-        // the frontier.
-        let deliver_at = now + self.config.costs.network_latency;
-        self.flush_out_buffer(rt, deliver_at);
-        if frontier > 0 {
-            let targets: Vec<(TaskIndex, usize)> = self.tasks[rt]
-                .out_targets
-                .iter()
-                .map(|tgt| (tgt.to, tgt.to_substream))
-                .collect();
-            for (to, substream) in targets {
+    /// Schedules a proxy punctuation closing batches `..=batch` on every
+    /// downstream substream of slot `rt` (primary and replica receivers
+    /// alike), arriving at `at`.
+    fn proxy_downstream(&mut self, rt: Rt, batch: u64, at: SimTime) {
+        for tgt in &self.tasks[rt].out_targets {
+            let substream = tgt.to_substream;
+            for to in std::iter::once(tgt.to.0).chain(self.replica_slot[tgt.to.0]) {
                 self.sched.at(
-                    deliver_at,
+                    at,
                     Event::Deliver {
-                        to: to.0,
+                        to,
                         substream,
-                        batch: frontier - 1,
+                        batch,
                         msg: Msg::Proxy,
                     },
                 );
-                if let Some(slot) = self.replica_slot[to.0] {
-                    self.sched.at(
-                        deliver_at,
-                        Event::Deliver {
-                            to: slot,
-                            substream,
-                            batch: frontier - 1,
-                            msg: Msg::Proxy,
-                        },
-                    );
-                }
             }
-        }
-
-        // Live upstreams re-serve from the frontier on: the jump needs no
-        // older input, only what the resumed task will actually process.
-        let upstreams: Vec<TaskIndex> = self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect();
-        for u in upstreams {
-            let sender = self.active_slot(u.0);
-            if self.tasks[sender].status == Status::Running
-                || self.tasks[sender].status == Status::CatchingUp
-            {
-                self.resend_buffered(sender, logical, frontier, deliver_at);
-            }
-        }
-
-        // Quantify the loss: of the batch intervals the outage spans, the
-        // forfeited gap is the part whose exact output is gone for good.
-        // Conservative floor in permille — the realized fidelity can only
-        // be higher.
-        let failed_batch = self
-            .current_outage(logical.0)
-            .map_or(0, |rec| rec.failed_at.as_micros())
-            / self.config.batch_interval.as_micros();
-        let total = frontier.saturating_sub(failed_batch).max(1);
-        let forfeited = skipped.min(total);
-        let floor = (1000 * (total - forfeited) / total) as u16;
-        if let Some(rec) = self.current_outage_mut(logical.0) {
-            rec.fidelity_floor = Some(floor);
-        }
-        self.note(
-            now,
-            EngineEvent::ApproxRecovery {
-                task: logical.0,
-                divergence,
-                skipped_batches: skipped,
-                fidelity_floor: floor,
-            },
-        );
-        // `now` is the restore's own CPU-reserved completion instant, and
-        // the frontier jump is pure bookkeeping: progress dominates here,
-        // not after whatever other restores are queued on this standby.
-        self.mark_recovered(logical.0, now);
-        self.try_process(rt);
-    }
-
-    fn restore_storm(&mut self, rt: Rt) {
-        let now = self.sched.now();
-        let w = self.storm_buffer_batches.unwrap_or(1);
-        let logical = self.tasks[rt].logical;
-        let is_source = self.tasks[rt].source.is_some();
-        {
-            let task = &mut self.tasks[rt];
-            let pre = task.pre_failure_progress.unwrap_or(0);
-            task.next_batch = pre.saturating_sub(w);
-            for q in &mut task.out_buffer {
-                q.clear();
-            }
-            for s in &mut task.staged {
-                s.clear();
-            }
-            for c in &mut task.closed {
-                *c = task.next_batch;
-            }
-            if let Some(f) = &self.fresh_udf[logical.0] {
-                task.udf = Some(f());
-            }
-            task.status = Status::CatchingUp;
-        }
-        if is_source {
-            let current = self.current_batch();
-            let from = self.tasks[rt].next_batch;
-            for b in from..current {
-                self.generate_source_batch(rt, b, true);
-            }
-            self.tasks[rt].status = Status::Running;
-            let at = self.node_busy[self.tasks[rt].node].max(now);
-            self.mark_recovered(logical.0, at);
-            return;
-        }
-        // Sources replay their buffered window through the topology toward
-        // this task; hops forward with reprocessing charges.
-        let cone = self.upstream_cone(logical);
-        let cursor = self.tasks[rt].next_batch;
-        let deliver_at = now + self.config.costs.network_latency;
-        for s in 0..self.graph.n_tasks() {
-            if !cone[s] || self.tasks[s].source.is_none() {
-                continue;
-            }
-            if self.tasks[s].status == Status::Dead || self.tasks[s].status == Status::Restoring {
-                continue;
-            }
-            self.resend_buffered_replay(s, logical, cursor, deliver_at, &cone);
         }
     }
 
@@ -2574,10 +2409,7 @@ impl Simulation {
     fn on_proxy_tick(&mut self) {
         self.sched
             .after(self.config.batch_interval, Event::ProxyTick);
-        if !matches!(
-            self.config.mode,
-            FtMode::Ppa { .. } | FtMode::Approximate { .. }
-        ) {
+        if !self.recovery.is_ppa() {
             return;
         }
         let frontier = self.current_batch().saturating_sub(1);
@@ -2602,40 +2434,14 @@ impl Simulation {
             if !rec.detected() || !rec.open() {
                 continue;
             }
-            let targets: Vec<(TaskIndex, usize)> = self.tasks[t]
-                .out_targets
-                .iter()
-                .map(|tgt| (tgt.to, tgt.to_substream))
-                .collect();
-            if !self.proxied[t] && !targets.is_empty() {
+            if !self.proxied[t] && !self.tasks[t].out_targets.is_empty() {
                 // The first proxy of this outage record: tentative
                 // (degraded) output starts flowing downstream.
                 self.proxied[t] = true;
                 let now = self.sched.now();
                 self.note(now, EngineEvent::TentativeResumed { task: t });
             }
-            for (to, substream) in targets {
-                self.sched.at(
-                    at,
-                    Event::Deliver {
-                        to: to.0,
-                        substream,
-                        batch: frontier,
-                        msg: Msg::Proxy,
-                    },
-                );
-                if let Some(slot) = self.replica_slot[to.0] {
-                    self.sched.at(
-                        at,
-                        Event::Deliver {
-                            to: slot,
-                            substream,
-                            batch: frontier,
-                            msg: Msg::Proxy,
-                        },
-                    );
-                }
-            }
+            self.proxy_downstream(t, frontier, at);
         }
     }
 
@@ -2653,29 +2459,6 @@ impl Simulation {
             }
         }
         logical
-    }
-}
-
-/// Helper on `Option<Checkpoint>` to clone its parts without fighting the
-/// borrow checker inside `restore_from_checkpoint`.
-trait CheckpointParts {
-    #[allow(clippy::type_complexity)]
-    fn clone_parts(&self)
-        -> Option<(u64, Option<Box<dyn Udf>>, Vec<VecDeque<Buffered>>, Vec<u64>)>;
-}
-
-impl CheckpointParts for Option<Checkpoint> {
-    fn clone_parts(
-        &self,
-    ) -> Option<(u64, Option<Box<dyn Udf>>, Vec<VecDeque<Buffered>>, Vec<u64>)> {
-        self.as_ref().map(|cp| {
-            (
-                cp.batch,
-                cp.udf.as_ref().map(|u| u.snapshot()),
-                cp.out_buffer.clone(),
-                cp.closed.clone(),
-            )
-        })
     }
 }
 

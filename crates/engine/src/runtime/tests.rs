@@ -1550,3 +1550,101 @@ fn approximate_zero_bound_matches_checkpoint_byte_for_byte() -> TestResult {
     assert_eq!(full_digest(&cp), full_digest(&zero));
     Ok(())
 }
+
+// ----------------------------------------------------------------------
+// The lowered mode: shared restore prefix, single counter store
+// ----------------------------------------------------------------------
+
+/// A non-source task that dies before its first backup has no snapshot:
+/// the shared restore prefix restarts it from an empty UDF at batch 0,
+/// and each recovery tail carries on from there. Exact replay rebuilds
+/// the failure-free state; the lossy jump forfeits the whole outage gap.
+#[test]
+fn task_killed_before_its_first_backup_restarts_from_scratch() -> TestResult {
+    let q = chain_query(100, 10)?;
+    let interval = SimDuration::from_secs(5);
+    // Task 2's first staggered checkpoint fires at ~8.9 s; a bound this
+    // loose never ships within the run.
+    let until = SimTime::from_secs(8);
+    let kill = FaultFeed::from_specs(vec![FailureSpec {
+        at: SimTime::from_secs(3),
+        nodes: vec![node_of(2)],
+    }]);
+    let mut golden = Simulation::new(
+        &q,
+        one_task_per_node(&q)?,
+        base_config(FtMode::checkpoint(5, interval)),
+    );
+    golden.drive(&FaultFeed::from_specs(Vec::new()), &mut StaticPolicy, until)?;
+    for (mode, lossy) in [
+        (FtMode::checkpoint(5, interval), false),
+        (FtMode::approximate(5, interval, 1_000_000), true),
+    ] {
+        let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
+        let driven = sim.drive(&kill, &mut StaticPolicy, until)?;
+        assert!(
+            sim.tasks[2].checkpoint.is_none(),
+            "no backup before {until}"
+        );
+        let rec = &driven.report.outages[0].records[0];
+        assert!(rec.recovered_at.is_some(), "lossy={lossy}: must recover");
+        if lossy {
+            // Snapshot batch 0 against a frontier past the failure: every
+            // batch of the outage is forfeited.
+            assert_eq!(rec.fidelity_floor, Some(0));
+        } else {
+            assert_eq!(rec.fidelity_floor, None);
+            assert_eq!(
+                sim.tasks[2].state_tuples(),
+                golden.tasks[2].state_tuples(),
+                "replay from batch 0 must rebuild the failure-free window"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `drive` flushes the run's running totals into the metrics registry
+/// as deltas against what it already holds: after any number of drives
+/// the counters equal the report's totals, and the divergence-only
+/// counter never appears on an exact run.
+#[test]
+fn repeated_drives_keep_counters_equal_to_report_totals() -> TestResult {
+    let q = chain_query(100, 10)?;
+    let none = FaultFeed::from_specs(Vec::new());
+    for mode in [
+        FtMode::approximate(5, SimDuration::from_secs(5), 300),
+        FtMode::checkpoint(5, SimDuration::from_secs(5)),
+    ] {
+        let divergence = matches!(mode, FtMode::Approximate { .. });
+        let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
+        let first = sim.drive(&none, &mut StaticPolicy, SimTime::from_secs(20))?;
+        let second = sim.drive(&none, &mut StaticPolicy, SimTime::from_secs(40))?;
+        assert!(second.report.events > first.report.events);
+        for d in [&first, &second] {
+            assert_eq!(
+                d.metrics.counter("engine.events.processed"),
+                d.report.events
+            );
+            assert_eq!(
+                d.metrics.counter("engine.tuples.moved"),
+                d.report.tuples_moved
+            );
+        }
+        let skipped: u64 = sim.tasks.iter().map(|t| t.divergence.skipped()).sum();
+        let present = second
+            .metrics
+            .counters
+            .iter()
+            .any(|&(name, _)| name == "engine.approx.backups_skipped");
+        assert_eq!(present, divergence);
+        if divergence {
+            assert!(skipped > 0);
+            assert_eq!(
+                second.metrics.counter("engine.approx.backups_skipped"),
+                skipped
+            );
+        }
+    }
+    Ok(())
+}

@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 /// deterministic replay. Payloads live in a slot pool so `E` needs no
 /// ordering traits and pops avoid moving large events through the heap.
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<EntryKey>>,
     // Events stored aside so `E` needs no ordering traits.
     slots: Vec<Option<(SimTime, E)>>,

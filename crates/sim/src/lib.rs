@@ -15,6 +15,6 @@ pub mod event;
 pub mod lane;
 pub mod time;
 
-pub use event::{EventQueue, Scheduler};
+pub use event::Scheduler;
 pub use lane::{group_lanes, Lane, ShardId, Span};
 pub use time::{SimDuration, SimTime};
